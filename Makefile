@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-self lint-hot lint-graph lint-selftest lint-all lint-json test race chaos chaos-recovery chaos-dist bench bench-smoke bench-alloc bench-vector bench-dist check
+.PHONY: all build vet lint lint-self lint-hot lint-graph lint-selftest lint-all lint-json test race chaos chaos-recovery chaos-dist bench bench-smoke bench-alloc bench-dist check
 
 all: check
 
@@ -109,12 +109,6 @@ bench-smoke:
 # `before` figures, captured once with -hotpath-before.
 bench-alloc:
 	$(GO) run ./cmd/benchpar -sf 0.02 -workers 4 -iters 5 -hotpath BENCH_hotpath.json
-
-# Row-vs-vectorized executor comparison at SF 0.1: the same scan/agg/join
-# workloads through the classic row path (engine.WithRowExec) and the
-# default batch path, ns/op and allocs/op per workload.
-bench-vector:
-	$(GO) run ./cmd/benchpar -sf 0.1 -workers 4 -iters 3 -vector BENCH_vector.json
 
 # Distributed scale-out benchmark at SF 0.1: the scan/agg/join workloads on
 # a sharded fleet at 1, 2 and 4 shards against the single-node baseline,

@@ -7,12 +7,11 @@
 //	benchpar -sf 0.02 -workers 4 -iters 3 -out BENCH_parallel.json
 //	benchpar -sf 0.02 -workers 4 -iters 5 -hotpath BENCH_hotpath.json \
 //	    -hotpath-before old_hotpath.json
-//	benchpar -sf 0.1 -workers 4 -iters 3 -vector BENCH_vector.json
 //	benchpar -sf 0.1 -workers 4 -iters 3 -dist BENCH_dist.json
 //
-// -vector writes the row-vs-vectorized executor comparison: every workload
-// through the classic row path (engine.WithRowExec) and the default batch
-// path at the same parallelism, with ns/op, allocs/op, and bytes/op.
+// The checked-in BENCH_vector.json is the frozen record of an earlier
+// row-vs-vectorized comparison; the row executor it measured is gone, so
+// no flag regenerates it.
 //
 // -dist writes the scale-out comparison: every workload on a sharded
 // coordinator/worker fleet at 1, 2 and 4 shards against the same query
@@ -45,7 +44,6 @@ func main() {
 	out := flag.String("out", "", "write parallel JSON report here (default stdout)")
 	hotpath := flag.String("hotpath", "", "write allocation (hotpath) JSON report here")
 	hotBefore := flag.String("hotpath-before", "", "embed this prior hotpath report as the before half")
-	vector := flag.String("vector", "", "write the row-vs-vectorized executor JSON report here")
 	distOut := flag.String("dist", "", "write the sharded scale-out JSON report here")
 	flag.Parse()
 
@@ -73,21 +71,6 @@ func main() {
 	e, err := bench.SetupLocalTPCH(*sf, 2015, dir, *workers)
 	if err != nil {
 		fatal(err)
-	}
-
-	if *vector != "" {
-		rep, err := bench.RunVectorBench(e, *sf, *workers, *iters)
-		if err != nil {
-			fatal(err)
-		}
-		if err := writeJSON(*vector, rep); err != nil {
-			fatal(err)
-		}
-		for _, r := range rep.Results {
-			fmt.Printf("%-6s %10.2fms rows  %10.2fms vector  speedup %.2fx  allocs %d -> %d\n",
-				r.Workload, r.RowNSOp/1e6, r.VectorNSOp/1e6, r.Speedup, r.RowAllocs, r.VectorAllocs)
-		}
-		return
 	}
 
 	if *hotpath != "" {

@@ -22,32 +22,8 @@ import (
 // engine must equal the same query pinned local with WithLocalOnly(), and
 // equal a plain single-node engine, at shard counts 1/2/4 and widths 1/4.
 func TestDistributedExecutionMatchesSerial(t *testing.T) {
-	data := tpch.Generate(0.005, 2015)
-	schemas := tpch.Schemas()
-
 	newLoaded := func(shards int) *engine.Engine {
-		e := engine.New(engine.Config{
-			ExtendedStorageDir: t.TempDir(),
-			Parallelism:        4,
-			Topology:           dist.Topology{Shards: shards},
-		})
-		for name, rows := range data.Tables {
-			ddl := fmt.Sprintf("CREATE TABLE %s (", name)
-			for i, c := range schemas[name].Cols {
-				if i > 0 {
-					ddl += ", "
-				}
-				ddl += c.Name + " " + c.Kind.String()
-			}
-			ddl += ")"
-			if _, err := e.ExecuteContext(context.Background(), ddl); err != nil {
-				t.Fatalf("create %s: %v", name, err)
-			}
-			if err := e.BulkLoad(name, rows); err != nil {
-				t.Fatalf("load %s: %v", name, err)
-			}
-		}
-		return e
+		return loadTPCH(t, engine.Config{Parallelism: 4, Topology: dist.Topology{Shards: shards}})
 	}
 
 	serial := newLoaded(0) // no topology: the pre-distribution engine

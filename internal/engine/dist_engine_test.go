@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"hana/internal/dist"
@@ -118,11 +117,11 @@ func TestDistWithShardsFanout(t *testing.T) {
 func TestDistExplicitTxnReadsStayLocal(t *testing.T) {
 	e := newDistEngine(t, 3, 50)
 	tx := e.Begin()
-	if _, err := e.ExecuteTx(tx, "INSERT INTO T VALUES (1000, 1, 'own')"); err != nil {
+	if _, err := e.ExecuteContext(context.Background(), "INSERT INTO T VALUES (1000, 1, 'own')", WithTx(tx)); err != nil {
 		t.Fatal(err)
 	}
 	before := e.Metrics.DistQueries.Load()
-	res, err := e.ExecuteTx(tx, "SELECT COUNT(*) FROM T WHERE A = 1000")
+	res, err := e.ExecuteContext(context.Background(), "SELECT COUNT(*) FROM T WHERE A = 1000", WithTx(tx))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,73 +196,4 @@ func TestDistRecoveryReseeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRowsDist(t, "post-recovery", got, want)
-}
-
-// The deprecated SetTopology bridge must land the engine in exactly the
-// state Config.Topology produces: same shard placement, same rows.
-func TestDeprecatedSetTopologyMatchesConfigTopology(t *testing.T) {
-	topo := dist.Topology{Shards: 3}
-	load := func(e *Engine) {
-		exec1(t, e, "CREATE TABLE P (A INT PRIMARY KEY, B INT)")
-		for i := 0; i < 150; i++ {
-			exec1(t, e, fmt.Sprintf("INSERT INTO P VALUES (%d, %d)", i, i*i))
-		}
-	}
-
-	viaConfig := New(Config{Topology: topo})
-	load(viaConfig)
-
-	viaSetter := New(Config{})
-	load(viaSetter)
-	if err := viaSetter.SetTopology(topo); err != nil {
-		t.Fatal(err)
-	}
-
-	wantCounts, err := viaConfig.DistShardCounts("P")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotCounts, err := viaSetter.DistShardCounts("P")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotCounts, wantCounts) {
-		t.Fatalf("shard placement diverged: SetTopology %v, Config %v", gotCounts, wantCounts)
-	}
-
-	ctx := context.Background()
-	for _, q := range []string{
-		"SELECT A, B FROM P WHERE MOD(A, 4) = 1",
-		"SELECT COUNT(*), MIN(B), MAX(B) FROM P",
-	} {
-		want, err := viaConfig.ExecuteContext(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := viaSetter.ExecuteContext(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRowsDist(t, q, got, want)
-	}
-}
-
-// The deprecated Execute wrapper must stay byte-identical to
-// ExecuteContext on a sharded engine — migration to the topology-aware
-// entry point must never change results.
-func TestDeprecatedExecuteOnShardedEngine(t *testing.T) {
-	e := newDistEngine(t, 3, 80)
-	const q = "SELECT C, COUNT(*) FROM T GROUP BY C ORDER BY C"
-	want, err := e.ExecuteContext(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.Execute(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRowsDist(t, "Execute on sharded engine", got, want)
-	if !reflect.DeepEqual(got.Schema, want.Schema) {
-		t.Fatalf("schema diverged: %v vs %v", got.Schema, want.Schema)
-	}
 }

@@ -257,7 +257,7 @@ func (p *planner) aggregate(sel *sqlparse.SelectStmt, it exec.Iter, items []sqlp
 		}
 	}
 
-	agg := &exec.ParallelHashAggregate{
+	agg := &exec.HashAggregate{
 		In: it, GroupBy: boundGroups, Aggs: specs, Out: outSchema,
 		Pool: p.e.pool, Ctx: p.ctx, Width: p.width, Stats: p.stats,
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"hana/internal/obs"
-	"hana/internal/value"
 )
 
 // fedJoinSQL joins a virtual table with a small local table: the planner
@@ -174,40 +173,6 @@ func TestMViewsEnumeratesRegisteredViews(t *testing.T) {
 	}
 	if !cols["M_TABLES.table_name"] {
 		t.Fatal("M_VIEWS must list typed column metadata")
-	}
-}
-
-// TestRegisterTableProviderCompat pins the deprecated stringly API: legacy
-// providers still execute and are enumerated as dynamic views.
-func TestRegisterTableProviderCompat(t *testing.T) {
-	e := newTestEngine(t)
-	e.RegisterTableProvider("LEGACY_VIEW", func() (*value.Rows, error) {
-		out := value.NewRows(value.NewSchema(value.Column{Name: "x", Kind: value.KindInt}))
-		out.Append(value.Row{value.NewInt(7)})
-		return out, nil
-	})
-	res := exec1(t, e, `SELECT x FROM LEGACY_VIEW()`)
-	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 7 {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-	views := exec1(t, e, `SELECT * FROM M_VIEWS()`)
-	nameCol := views.Schema.MustFind("view_name")
-	dynCol := views.Schema.MustFind("dynamic")
-	found := false
-	for _, row := range views.Rows {
-		if row[nameCol].String() == "LEGACY_VIEW" {
-			found = true
-			if !row[dynCol].Bool() {
-				t.Fatal("legacy provider must be listed as dynamic")
-			}
-		}
-	}
-	if !found {
-		t.Fatal("M_VIEWS must list the legacy provider")
-	}
-	e.UnregisterTableProvider("LEGACY_VIEW")
-	if _, err := e.ExecuteContext(context.Background(), `SELECT x FROM LEGACY_VIEW()`); err == nil {
-		t.Fatal("unregistered provider must not resolve")
 	}
 }
 

@@ -31,10 +31,8 @@ type planner struct {
 	stats *exec.Counters
 	plan  *obs.Span
 
-	// vector enables batch execution for in-memory scans (default on;
-	// WithRowExec turns it off). needed is the statement-wide referenced
-	// column-name set driving late materialization (nil = all columns).
-	vector bool
+	// needed is the statement-wide referenced column-name set driving
+	// late materialization of in-memory scans (nil = all columns).
 	needed map[string]bool
 
 	// localOnly pins the statement to the engine node (WithLocalOnly);
@@ -48,7 +46,6 @@ func (e *Engine) newPlanner(ctx context.Context, tx *txn.Txn, sel *sqlparse.Sele
 		ctx = context.Background()
 	}
 	p := &planner{e: e, ctx: ctx, width: width, stats: &exec.Counters{}}
-	p.vector = ctx.Value(rowExecKey{}) == nil
 	if o, ok := ctx.Value(distOptKey{}).(distOpt); ok {
 		p.localOnly = o.localOnly
 		p.fanout = o.fanout
@@ -64,6 +61,13 @@ func (e *Engine) newPlanner(ctx context.Context, tx *txn.Txn, sel *sqlparse.Sele
 		p.needed = collectNeeded(sel)
 	}
 	return p
+}
+
+// runJoin executes a hash join on the statement's pool, parallelism cap
+// and executor counters.
+func (p *planner) runJoin(j *exec.HashJoin) ([]value.Row, error) {
+	j.Pool, j.Width, j.Stats = p.e.pool, p.width, p.stats
+	return j.Run(p.ctx)
 }
 
 // execStats snapshots the planner's executor counters for the Result.
@@ -373,32 +377,17 @@ func (p *planner) planTableLeaf(t *sqlparse.TableRef, pool *[]expr.Expr) (*relat
 			return nil, err
 		}
 	}
-	if p.vector && vectorizable(st.parts) {
-		batches, _, err := p.scanPartsVec(st.parts, pred, neededOrds(p.needed, meta.Schema), schema)
-		if err != nil {
-			return nil, err
-		}
-		rel.batches = batches
-		kept := rel.batchRowCount()
-		rel.node = node(fmt.Sprintf("%s Scan [%s] (%d rows, vectorized)", storeLabel(st), name, kept))
-		if pred != nil {
-			rel.node.children = append(rel.node.children, node("filter: "+pred.SQL()))
-		}
-		rel.est = float64(kept)
-		return rel, nil
-	}
-	rows, _, err := p.scanParts(st.parts, nil, pred)
+	batches, _, err := p.scanPartsVec(st.parts, pred, neededOrds(p.needed, meta.Schema), schema)
 	if err != nil {
 		return nil, err
 	}
+	rel.batches = batches
+	kept := rel.batchRowCount()
+	rel.node = node(fmt.Sprintf("%s Scan [%s] (%d rows, vectorized)", storeLabel(st), name, kept))
 	if pred != nil {
-		rel.node = node(fmt.Sprintf("%s Scan [%s] (%d rows)", storeLabel(st), name, len(rows)),
-			node("filter: "+pred.SQL()))
-	} else {
-		rel.node = node(fmt.Sprintf("%s Scan [%s] (%d rows)", storeLabel(st), name, len(rows)))
+		rel.node.children = append(rel.node.children, node("filter: "+pred.SQL()))
 	}
-	rel.rows = rows
-	rel.est = float64(len(rows))
+	rel.est = float64(kept)
 	return rel, nil
 }
 
@@ -587,8 +576,8 @@ func (p *planner) joinRelations(l, r *relation, pool *[]expr.Expr) (*relation, e
 				return nil, err
 			}
 		}
-		out.rows, err = exec.HashJoinParallel(p.ctx, p.e.pool, p.width, 0, p.stats,
-			exec.JoinInner, joinSideOf(l), joinSideOf(r), blk, brk, res, r.schema.Len())
+		out.rows, err = p.runJoin(&exec.HashJoin{Kind: exec.JoinInner, Left: joinSideOf(l), Right: joinSideOf(r),
+			LeftKeys: blk, RightKeys: brk, Residual: res, RightWidth: r.schema.Len()})
 		if err != nil {
 			return nil, err
 		}
@@ -774,8 +763,8 @@ func (p *planner) leftOuterJoin(l, r *relation, on expr.Expr) (*relation, error)
 				return nil, err
 			}
 		}
-		out.rows, err = exec.HashJoinParallel(p.ctx, p.e.pool, p.width, 0, p.stats,
-			exec.JoinLeftOuter, joinSideOf(l), joinSideOf(r), blk, brk, res, r.schema.Len())
+		out.rows, err = p.runJoin(&exec.HashJoin{Kind: exec.JoinLeftOuter, Left: joinSideOf(l), Right: joinSideOf(r),
+			LeftKeys: blk, RightKeys: brk, Residual: res, RightWidth: r.schema.Len()})
 		if err != nil {
 			return nil, err
 		}

@@ -249,7 +249,7 @@ func TestRecoverInDoubtBranchAcrossRestart(t *testing.T) {
 	if _, err := e.ExecuteContext(context.Background(), `INSERT INTO psa VALUES (42)`, WithTx(tx)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.CommitTx(tx); err != nil {
+	if err := e.CommitTxContext(context.Background(), tx); err != nil {
 		t.Fatalf("decision was commit: %v", err)
 	}
 	if len(e.TxnManager().InDoubt()) != 1 {

@@ -48,6 +48,22 @@ func (p *planner) applyTransform(it exec.Iter, root *planNode, tf subqueryTransf
 		kind = exec.JoinAnti
 		label = "Anti Join (NOT IN/NOT EXISTS subquery)"
 	}
+	// semiAnti runs the join against the subquery's rows as build side.
+	semiAnti := func(sub *value.Rows, leftKeys, rightKeys []expr.Expr, nullAware bool) (exec.Iter, error) {
+		left, err := exec.SideOf(it)
+		if err != nil {
+			return nil, err
+		}
+		rows, err := p.runJoin(&exec.HashJoin{
+			Kind: kind, Left: left, Right: exec.JoinSide{Rows: sub.Data},
+			LeftKeys: leftKeys, RightKeys: rightKeys, RightWidth: sub.Schema.Len(),
+			NullAwareAnti: nullAware,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return exec.NewSlice(it.Schema(), rows), nil
+	}
 
 	if tf.outerExpr != nil {
 		// IN (SELECT …): uncorrelated; the subquery's single output column
@@ -67,11 +83,9 @@ func (p *planner) applyTransform(it exec.Iter, root *planNode, tf subqueryTransf
 		if err := expr.Bind(rightKey, sub.Schema); err != nil {
 			return nil, nil, err
 		}
-		join := &exec.HashJoin{
-			Kind: kind, Left: it, Right: exec.NewSlice(sub.Schema, sub.Data),
-			LeftKeys:      []expr.Expr{leftKey},
-			RightKeys:     []expr.Expr{rightKey},
-			NullAwareAnti: tf.nullAware,
+		join, err := semiAnti(sub, []expr.Expr{leftKey}, []expr.Expr{rightKey}, tf.nullAware)
+		if err != nil {
+			return nil, nil, err
 		}
 		return join, node(label, root, subNode), nil
 	}
@@ -129,9 +143,9 @@ func (p *planner) applyTransform(it exec.Iter, root *planNode, tf subqueryTransf
 			return nil, nil, err
 		}
 	}
-	join := &exec.HashJoin{
-		Kind: kind, Left: it, Right: exec.NewSlice(sub.Schema, sub.Data),
-		LeftKeys: boundOuter, RightKeys: boundInner,
+	join, err := semiAnti(sub, boundOuter, boundInner, false)
+	if err != nil {
+		return nil, nil, err
 	}
 	return join, node(label+" (decorrelated)", root, subNode), nil
 }

@@ -185,14 +185,3 @@ func collectNeeded(sel *sqlparse.SelectStmt) map[string]bool {
 	}
 	return set
 }
-
-// vectorizable reports whether every partition can be scanned through the
-// batch path (in-memory only; extended partitions keep the row scan).
-func vectorizable(parts []*partition) bool {
-	for _, part := range parts {
-		if part.ext != nil {
-			return false
-		}
-	}
-	return true
-}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"os"
 	"testing"
 
@@ -15,7 +16,7 @@ func TestReviewBulkLoadExtAfterSavepoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Execute(`CREATE TABLE k_ext (id BIGINT, v VARCHAR(20)) USING EXTENDED STORAGE`); err != nil {
+	if _, err := e.ExecuteContext(context.Background(), `CREATE TABLE k_ext (id BIGINT, v VARCHAR(20)) USING EXTENDED STORAGE`); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.BulkLoad("k_ext", []value.Row{
@@ -33,7 +34,7 @@ func TestReviewBulkLoadExtAfterSavepoint(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(`SELECT id FROM k_ext`)
+	res, err := e.ExecuteContext(context.Background(), `SELECT id FROM k_ext`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestReviewBulkLoadExtAfterSavepoint(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer e2.Close()
-	res2, err := e2.Execute(`SELECT id FROM k_ext`)
+	res2, err := e2.ExecuteContext(context.Background(), `SELECT id FROM k_ext`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -142,11 +143,25 @@ func (s *aggState) result(fn string) (value.Value, error) {
 // The output schema is [group cols…, agg results…] with the provided
 // column names. With no group-by expressions it produces the single global
 // group (even for empty input, per SQL).
+//
+// Execution is morsel-driven: the input is collected (batch producers keep
+// their columnar form), split into fixed-size morsels, aggregated into
+// per-morsel partial group tables on the pool's workers, and merged at a
+// barrier in morsel order. Group output order is the first-seen order of
+// the input, and the result is byte-identical at any width. A nil Pool
+// runs every morsel inline on the calling goroutine.
 type HashAggregate struct {
 	In      Iter
 	GroupBy []expr.Expr
 	Aggs    []AggSpec
 	Out     *value.Schema
+
+	Pool  *Pool
+	Ctx   context.Context
+	Width int
+	// MorselSize overrides DefaultMorselSize (tests); 0 = default.
+	MorselSize int
+	Stats      *Counters
 
 	done   bool
 	groups []value.Row
@@ -176,61 +191,113 @@ func (h *HashAggregate) Next() (value.Row, bool, error) {
 	return r, true, nil
 }
 
+// aggPartial is one morsel's (or the merged) group table. hashes is aligned
+// with order so the merge never re-evaluates group-by expressions.
+type aggPartial struct {
+	table  map[uint64][]*aggGroup
+	order  []*aggGroup
+	hashes []uint64
+}
+
 func (h *HashAggregate) run() error {
-	table := map[uint64][]*aggGroup{}
-	var order []*aggGroup
+	ctx := h.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	pool := h.Pool
+	if pool == nil {
+		pool = NewPool(1)
+	}
+	// Batch producers keep their columnar form: the morsels below read keys
+	// and arguments straight from the vectors. Anything else is
+	// materialized as rows.
+	var (
+		data []value.Row
+		bs   []*value.Batch
+		offs []int
+		bpl  batchAggPlan
+	)
+	if bi, ok := h.In.(BatchIter); ok {
+		var err error
+		if bs, err = collectBatches(bi); err != nil {
+			return err
+		}
+		offs = batchOffsets(bs)
+		bpl = planBatchAgg(h.GroupBy, h.Aggs)
+	} else {
+		var err error
+		if data, err = drainRows(h.In); err != nil {
+			return err
+		}
+	}
+	total := len(data)
+	if bs != nil {
+		total = offs[len(bs)]
+	}
+	size := h.MorselSize
+	if size <= 0 {
+		size = DefaultMorselSize
+	}
 	keyOrds := make([]int, len(h.GroupBy))
 	for i := range keyOrds {
 		keyOrds[i] = i
 	}
-	// Scratch key buffer, reused across rows; only Clone() on a fresh group
-	// retains the values.
-	key := make(value.Row, len(h.GroupBy))
-	for {
-		row, ok, err := h.In.Next()
+
+	nm := (total + size - 1) / size
+	partials := make([]*aggPartial, nm)
+	if nm > 0 {
+		workers, err := pool.Run(ctx, nm, h.Width, func(_ context.Context, m int) error {
+			lo := m * size
+			hi := lo + size
+			if hi > total {
+				hi = total
+			}
+			var pt *aggPartial
+			var err error
+			if bs != nil {
+				pt, err = aggregateBatchMorsel(batchSegments(bs, offs, lo, hi), h.GroupBy, h.Aggs, keyOrds, bpl)
+			} else {
+				pt, err = aggregateMorsel(data[lo:hi], h.GroupBy, h.Aggs, keyOrds)
+			}
+			if err != nil {
+				return err
+			}
+			partials[m] = pt
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		if !ok {
-			break
-		}
-		for i, g := range h.GroupBy {
-			v, err := g.Eval(row)
-			if err != nil {
-				return err
+		h.Stats.NoteDispatch(nm, workers)
+	}
+
+	// Barrier: merge partial tables in morsel order. A group's first
+	// appearance across morsels matches its first appearance in the input,
+	// so the merged order equals the serial first-seen order.
+	merged := &aggPartial{table: map[uint64][]*aggGroup{}}
+	for _, pt := range partials {
+		for gi, g := range pt.order {
+			hsh := pt.hashes[gi]
+			var dst *aggGroup
+			for _, cand := range merged.table[hsh] {
+				if cand.key.EqualAt(g.key, keyOrds, keyOrds) {
+					dst = cand
+					break
+				}
 			}
-			key[i] = v
-		}
-		hsh := key.Hash(keyOrds)
-		var grp *aggGroup
-		for _, g := range table[hsh] {
-			if key.EqualAt(g.key, keyOrds, keyOrds) {
-				grp = g
-				break
-			}
-		}
-		if grp == nil {
-			grp = &aggGroup{key: key.Clone()}
-			for _, a := range h.Aggs {
-				grp.states = append(grp.states, newAggState(a.Distinct))
-			}
-			table[hsh] = append(table[hsh], grp)
-			//lint:ignore hotalloc order grows once per distinct group, not per row; the group count is unknown upfront
-			order = append(order, grp)
-		}
-		for i, a := range h.Aggs {
-			if a.Arg == nil { // COUNT(*)
-				grp.states[i].count++
-				grp.states[i].hasVal = true
+			if dst == nil {
+				merged.table[hsh] = append(merged.table[hsh], g)
+				merged.order = append(merged.order, g)
+				merged.hashes = append(merged.hashes, hsh)
 				continue
 			}
-			v, err := a.Arg.Eval(row)
-			if err != nil {
-				return err
+			for i := range dst.states {
+				dst.states[i].merge(g.states[i])
 			}
-			grp.states[i].add(v)
 		}
 	}
+
+	order := merged.order
 	if len(order) == 0 && len(h.GroupBy) == 0 {
 		// Global aggregate over empty input still yields one row.
 		g := &aggGroup{}
@@ -253,4 +320,51 @@ func (h *HashAggregate) run() error {
 	}
 	h.done = true
 	return nil
+}
+
+// aggregateMorsel builds one morsel's partial group table from a row range.
+func aggregateMorsel(rows []value.Row, groupBy []expr.Expr, aggs []AggSpec, keyOrds []int) (*aggPartial, error) {
+	pt := &aggPartial{table: map[uint64][]*aggGroup{}}
+	// Scratch key buffer, reused across rows; only Clone() on a fresh group
+	// retains the values.
+	key := make(value.Row, len(groupBy))
+	for _, row := range rows {
+		for i, g := range groupBy {
+			v, err := g.Eval(row)
+			if err != nil {
+				return nil, err
+			}
+			key[i] = v
+		}
+		hsh := key.Hash(keyOrds)
+		var grp *aggGroup
+		for _, g := range pt.table[hsh] {
+			if key.EqualAt(g.key, keyOrds, keyOrds) {
+				grp = g
+				break
+			}
+		}
+		if grp == nil {
+			grp = &aggGroup{key: key.Clone()}
+			for _, a := range aggs {
+				grp.states = append(grp.states, newAggState(a.Distinct))
+			}
+			pt.table[hsh] = append(pt.table[hsh], grp)
+			pt.order = append(pt.order, grp)
+			pt.hashes = append(pt.hashes, hsh)
+		}
+		for i, a := range aggs {
+			if a.Arg == nil { // COUNT(*)
+				grp.states[i].count++
+				grp.states[i].hasVal = true
+				continue
+			}
+			v, err := a.Arg.Eval(row)
+			if err != nil {
+				return nil, err
+			}
+			grp.states[i].add(v)
+		}
+	}
+	return pt, nil
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"hana/internal/expr"
@@ -8,7 +9,7 @@ import (
 )
 
 // Aggregation and join inner loops must allocate per group / per output
-// row, never per input row: the group-key buffer and the match scratch are
+// row, never per input row: the group-key buffer and the probe scratch are
 // reused across rows. These tests pin allocation counts well below the row
 // count, so reintroducing a per-row make shows up as an order-of-magnitude
 // jump.
@@ -43,6 +44,9 @@ func TestAggregateMorselSubLinearAllocs(t *testing.T) {
 	}
 }
 
+// A semi-join probe emits the probe rows themselves: besides the build
+// table, one join allocates the per-morsel output and key scratch, never a
+// combined row or a copy per probe row.
 func TestHashJoinProbeSubLinearAllocs(t *testing.T) {
 	const n = 1000
 	left := modRows(n)
@@ -56,30 +60,26 @@ func TestHashJoinProbeSubLinearAllocs(t *testing.T) {
 		return e
 	}
 	j := &HashJoin{
-		Kind:      JoinInner,
-		Left:      NewSlice(s, left),
-		Right:     NewSlice(s, build),
-		LeftKeys:  []expr.Expr{key()},
-		RightKeys: []expr.Expr{key()},
+		Kind:       JoinSemi,
+		Left:       JoinSide{Rows: left},
+		Right:      JoinSide{Rows: build},
+		LeftKeys:   []expr.Expr{key()},
+		RightKeys:  []expr.Expr{key()},
+		RightWidth: 2,
 	}
 	out := 0
-	if err := j.build(); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(1, func() {
-		for _, l := range left {
-			m, err := j.matches(l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out += len(m)
+	allocs := testing.AllocsPerRun(5, func() {
+		rows, err := j.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
 		}
+		out = len(rows)
 	})
-	// The match buffer is reused: probing n rows must not allocate n slices.
+	// Probing n rows must not allocate per probe row.
 	if allocs > n/4 {
-		t.Errorf("probing %d rows allocates %.0f times; the matches scratch must be reused", n, allocs)
+		t.Errorf("semi-join probing %d rows allocates %.0f times; probe rows must be emitted, not copied", n, allocs)
 	}
-	if out == 0 {
-		t.Fatal("join produced no matches")
+	if out != n/2 {
+		t.Fatalf("semi join kept %d rows, want %d", out, n/2)
 	}
 }

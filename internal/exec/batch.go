@@ -25,10 +25,6 @@ type BatchIter interface {
 	NextBatch() (*value.Batch, error)
 }
 
-// RowsOf materializes a batch's live rows — the adapter row-oriented
-// operators use to consume batch producers.
-func RowsOf(b *value.Batch) []value.Row { return b.MaterializeRows() }
-
 // batchRows adapts NextBatch streams to row-at-a-time Next calls.
 type batchRows struct {
 	rows []value.Row
@@ -81,61 +77,9 @@ func (s *BatchSlice) NextBatch() (*value.Batch, error) {
 // Next implements Iter by materializing batches lazily.
 func (s *BatchSlice) Next() (value.Row, bool, error) { return s.br.next(s) }
 
-// Batches adapts a row iterator into a batch producer, accumulating
-// DefaultMorselSize rows per batch. Because Iter may reuse its row slice,
-// values are copied into a per-batch slab as they arrive.
-type Batches struct {
-	In Iter
-	// Size overrides DefaultMorselSize (tests); 0 = default.
-	Size int
-	done bool
-	br   batchRows
-}
-
-// Schema implements BatchIter.
-func (a *Batches) Schema() *value.Schema { return a.In.Schema() }
-
-// NextBatch implements BatchIter.
-func (a *Batches) NextBatch() (*value.Batch, error) {
-	if a.done {
-		return nil, nil
-	}
-	size := a.Size
-	if size <= 0 {
-		size = DefaultMorselSize
-	}
-	s := a.In.Schema()
-	w := s.Len()
-	slab := make([]value.Value, 0, size*w)
-	n := 0
-	for n < size {
-		row, ok, err := a.In.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			a.done = true
-			break
-		}
-		slab = append(slab, row...)
-		n++
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	rows := make([]value.Row, n)
-	for k := 0; k < n; k++ {
-		rows[k] = slab[k*w : (k+1)*w : (k+1)*w]
-	}
-	return value.BatchFromRows(s, rows), nil
-}
-
-// Next implements Iter.
-func (a *Batches) Next() (value.Row, bool, error) { return a.br.next(a) }
-
 // BatchFilter refines each batch's selection vector through the vectorized
 // predicate path; batches whose selection empties out are skipped. It is
-// the batch counterpart of Filter.
+// the batch counterpart of the row filter.
 type BatchFilter struct {
 	In   BatchIter
 	Pred expr.Expr
@@ -166,7 +110,7 @@ func (f *BatchFilter) Next() (value.Row, bool, error) { return f.br.next(f) }
 
 // BatchProject evaluates projection expressions per batch, sharing column
 // vectors for bare column references and falling back to the row-exact Eval
-// path otherwise. It is the batch counterpart of Project.
+// path otherwise. It is the batch counterpart of the row project.
 type BatchProject struct {
 	In    BatchIter
 	Exprs []expr.Expr
@@ -198,14 +142,14 @@ func (p *BatchProject) NextBatch() (*value.Batch, error) {
 func (p *BatchProject) Next() (value.Row, bool, error) { return p.br.next(p) }
 
 // FilterIter builds the preferred filter operator for an input: the
-// vectorized BatchFilter when the input produces batches, the row Filter
+// vectorized BatchFilter when the input produces batches, the row filter
 // otherwise. Both keep exactly the rows for which pred is genuinely true,
 // in input order.
 func FilterIter(in Iter, pred expr.Expr) Iter {
 	if b, ok := in.(BatchIter); ok {
 		return &BatchFilter{In: b, Pred: pred}
 	}
-	return &Filter{In: in, Pred: pred}
+	return &filter{In: in, Pred: pred}
 }
 
 // ProjectIter builds the preferred projection operator for an input, batch
@@ -214,7 +158,7 @@ func ProjectIter(in Iter, exprs []expr.Expr, out *value.Schema) Iter {
 	if b, ok := in.(BatchIter); ok {
 		return &BatchProject{In: b, Exprs: exprs, Out: out}
 	}
-	return &Project{In: in, Exprs: exprs, Out: out}
+	return &project{In: in, Exprs: exprs, Out: out}
 }
 
 // drainBatchRows materializes every remaining batch of a producer into one

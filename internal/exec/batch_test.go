@@ -8,11 +8,10 @@ import (
 	"hana/internal/value"
 )
 
-// The Deprecated row operators are pinned against their replacements: Filter
-// and FilterIter (resp. Project and ProjectIter) must stay byte-identical on
-// the same input, whether the replacement picks the vectorized batch operator
-// or falls back to the row one. These tests are what lets depapi outlaw new
-// internal call sites without risking silent behavior drift in the wrappers.
+// The row operators are pinned against the batch ones: filter and
+// BatchFilter (resp. project and BatchProject) must stay byte-identical on
+// the same input, and FilterIter/ProjectIter must pick the batch operator
+// for batch producers and the row fallback otherwise.
 
 func mixedSchema() *value.Schema {
 	return value.NewSchema(
@@ -43,7 +42,11 @@ func mixedRows() []value.Row {
 // batchInput produces the rows through the batch path, cut into small
 // batches so operator behavior at batch boundaries is exercised.
 func batchInput(s *value.Schema, rows []value.Row) Iter {
-	return &Batches{In: NewSlice(s, rows), Size: 5}
+	var bs []*value.Batch
+	for lo := 0; lo < len(rows); lo += 5 {
+		bs = append(bs, value.BatchFromRows(s, rows[lo:min(lo+5, len(rows))]))
+	}
+	return NewBatchSlice(s, bs)
 }
 
 func TestDeprecatedFilterPinsFilterIter(t *testing.T) {
@@ -58,22 +61,22 @@ func TestDeprecatedFilterPinsFilterIter(t *testing.T) {
 	}
 	for i, p := range preds {
 		bind(t, p, s)
-		want := drain(t, &Filter{In: NewSlice(s, rows), Pred: p})
+		want := drain(t, &filter{In: NewSlice(s, rows), Pred: p})
 
 		viaBatch := FilterIter(batchInput(s, rows), p)
 		if _, ok := viaBatch.(*BatchFilter); !ok {
 			t.Fatalf("pred %d: FilterIter on a batch producer built %T, want *BatchFilter", i, viaBatch)
 		}
 		if got := drain(t, viaBatch); !reflect.DeepEqual(got, want) {
-			t.Errorf("pred %d: BatchFilter diverged from Filter:\nbatch: %v\nrow:   %v", i, got, want)
+			t.Errorf("pred %d: BatchFilter diverged from filter:\nbatch: %v\nrow:   %v", i, got, want)
 		}
 
 		viaRow := FilterIter(NewSlice(s, rows), p)
-		if _, ok := viaRow.(*Filter); !ok {
-			t.Fatalf("pred %d: FilterIter on a row producer built %T, want *Filter", i, viaRow)
+		if _, ok := viaRow.(*filter); !ok {
+			t.Fatalf("pred %d: FilterIter on a row producer built %T, want *filter", i, viaRow)
 		}
 		if got := drain(t, viaRow); !reflect.DeepEqual(got, want) {
-			t.Errorf("pred %d: FilterIter row fallback diverged from Filter", i)
+			t.Errorf("pred %d: FilterIter row fallback diverged from filter", i)
 		}
 	}
 }
@@ -95,22 +98,22 @@ func TestDeprecatedProjectPinsProjectIter(t *testing.T) {
 		value.Column{Name: "v2", Kind: value.KindDouble},
 	)
 
-	want := drain(t, &Project{In: NewSlice(s, rows), Exprs: exprs, Out: out})
+	want := drain(t, &project{In: NewSlice(s, rows), Exprs: exprs, Out: out})
 
 	viaBatch := ProjectIter(batchInput(s, rows), exprs, out)
 	if _, ok := viaBatch.(*BatchProject); !ok {
 		t.Fatalf("ProjectIter on a batch producer built %T, want *BatchProject", viaBatch)
 	}
 	if got := drain(t, viaBatch); !reflect.DeepEqual(got, want) {
-		t.Errorf("BatchProject diverged from Project:\nbatch: %v\nrow:   %v", got, want)
+		t.Errorf("BatchProject diverged from project:\nbatch: %v\nrow:   %v", got, want)
 	}
 
 	viaRow := ProjectIter(NewSlice(s, rows), exprs, out)
-	if _, ok := viaRow.(*Project); !ok {
-		t.Fatalf("ProjectIter on a row producer built %T, want *Project", viaRow)
+	if _, ok := viaRow.(*project); !ok {
+		t.Fatalf("ProjectIter on a row producer built %T, want *project", viaRow)
 	}
 	if got := drain(t, viaRow); !reflect.DeepEqual(got, want) {
-		t.Errorf("ProjectIter row fallback diverged from Project")
+		t.Errorf("ProjectIter row fallback diverged from project")
 	}
 }
 

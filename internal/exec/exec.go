@@ -48,6 +48,20 @@ func Materialize(it Iter) (*value.Rows, error) {
 	}
 }
 
+// drainRows materializes an iterator's rows. A fresh Slice's backing rows
+// are used directly (they are stable, and aggregation/joins only read
+// them); anything else goes through Materialize.
+func drainRows(in Iter) ([]value.Row, error) {
+	if s, ok := in.(*Slice); ok && s.i == 0 {
+		return s.Rows, nil
+	}
+	rows, err := Materialize(in)
+	if err != nil {
+		return nil, err
+	}
+	return rows.Data, nil
+}
+
 // Slice iterates a materialized row set.
 type Slice struct {
 	S    *value.Schema
@@ -73,20 +87,18 @@ func (s *Slice) Next() (value.Row, bool, error) {
 	return r, true, nil
 }
 
-// Filter keeps rows satisfying a bound predicate.
-//
-// Deprecated: use FilterIter, which picks the vectorized BatchFilter when
-// the input produces batches and this row-at-a-time operator otherwise.
-type Filter struct {
+// filter keeps rows satisfying a bound predicate — the row-at-a-time
+// operator FilterIter falls back to for inputs that do not produce batches.
+type filter struct {
 	In   Iter
 	Pred expr.Expr
 }
 
 // Schema implements Iter.
-func (f *Filter) Schema() *value.Schema { return f.In.Schema() }
+func (f *filter) Schema() *value.Schema { return f.In.Schema() }
 
 // Next implements Iter.
-func (f *Filter) Next() (value.Row, bool, error) {
+func (f *filter) Next() (value.Row, bool, error) {
 	for {
 		row, ok, err := f.In.Next()
 		if err != nil || !ok {
@@ -102,11 +114,10 @@ func (f *Filter) Next() (value.Row, bool, error) {
 	}
 }
 
-// Project evaluates bound expressions producing a new schema.
-//
-// Deprecated: use ProjectIter, which picks the vectorized BatchProject when
-// the input produces batches and this row-at-a-time operator otherwise.
-type Project struct {
+// project evaluates bound expressions producing a new schema — the
+// row-at-a-time operator ProjectIter falls back to for inputs that do not
+// produce batches.
+type project struct {
 	In    Iter
 	Exprs []expr.Expr
 	Out   *value.Schema
@@ -114,10 +125,10 @@ type Project struct {
 }
 
 // Schema implements Iter.
-func (p *Project) Schema() *value.Schema { return p.Out }
+func (p *project) Schema() *value.Schema { return p.Out }
 
 // Next implements Iter.
-func (p *Project) Next() (value.Row, bool, error) {
+func (p *project) Next() (value.Row, bool, error) {
 	row, ok, err := p.In.Next()
 	if err != nil || !ok {
 		return nil, false, err
@@ -273,32 +284,6 @@ func (d *Distinct) Next() (value.Row, bool, error) {
 		d.seen[h] = append(d.seen[h], c)
 		return c, true, nil
 	}
-}
-
-// UnionAll concatenates same-arity inputs. The paper's Union Plan strategy
-// for hybrid tables combines hot-partition and cold-partition subplans with
-// this operator.
-type UnionAll struct {
-	Ins []Iter
-	i   int
-}
-
-// Schema implements Iter.
-func (u *UnionAll) Schema() *value.Schema { return u.Ins[0].Schema() }
-
-// Next implements Iter.
-func (u *UnionAll) Next() (value.Row, bool, error) {
-	for u.i < len(u.Ins) {
-		row, ok, err := u.Ins[u.i].Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			return row, true, nil
-		}
-		u.i++
-	}
-	return nil, false, nil
 }
 
 // errIter reports a deferred error.

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -48,12 +49,10 @@ func drain(t *testing.T, it Iter) []value.Row {
 func TestFilterProjectLimit(t *testing.T) {
 	s := intSchema("a", "b")
 	in := NewSlice(s, rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{3, 30}, []int64{4, 40}))
-	f := &Filter{In: in, Pred: bind(t, expr.Bin(expr.OpGt, expr.Col("a"), expr.Int(1)), s)}
-	proj := &Project{
-		In:    f,
-		Exprs: []expr.Expr{bind(t, expr.Bin(expr.OpAdd, expr.Col("a"), expr.Col("b")), s)},
-		Out:   intSchema("sum"),
-	}
+	f := FilterIter(in, bind(t, expr.Bin(expr.OpGt, expr.Col("a"), expr.Int(1)), s))
+	proj := ProjectIter(f,
+		[]expr.Expr{bind(t, expr.Bin(expr.OpAdd, expr.Col("a"), expr.Col("b")), s)},
+		intSchema("sum"))
 	lim := &Limit{In: proj, N: 2}
 	got := drain(t, lim)
 	if len(got) != 2 || got[0][0].Int() != 22 || got[1][0].Int() != 33 {
@@ -95,30 +94,27 @@ func TestDistinct(t *testing.T) {
 	}
 }
 
-func TestUnionAll(t *testing.T) {
-	s := intSchema("a")
-	u := &UnionAll{Ins: []Iter{
-		NewSlice(s, rowsOf([]int64{1}, []int64{2})),
-		NewSlice(s, nil),
-		NewSlice(s, rowsOf([]int64{3})),
-	}}
-	got := drain(t, u)
-	if len(got) != 3 || got[2][0].Int() != 3 {
-		t.Fatalf("union = %v", got)
+// runJoin executes a hash join over row-backed sides.
+func runJoin(t *testing.T, kind JoinKind, left, right []value.Row, lk, rk expr.Expr, rightWidth int) []value.Row {
+	t.Helper()
+	j := &HashJoin{
+		Kind: kind, Left: JoinSide{Rows: left}, Right: JoinSide{Rows: right},
+		LeftKeys: []expr.Expr{lk}, RightKeys: []expr.Expr{rk}, RightWidth: rightWidth,
 	}
+	got, err := j.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
 
 func TestHashJoinInner(t *testing.T) {
 	ls := intSchema("l.k", "l.v")
 	rs := intSchema("r.k", "r.v")
-	left := NewSlice(ls, rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{3, 30}))
-	right := NewSlice(rs, rowsOf([]int64{2, 200}, []int64{3, 300}, []int64{3, 301}, []int64{5, 500}))
-	j := &HashJoin{
-		Kind: JoinInner, Left: left, Right: right,
-		LeftKeys:  []expr.Expr{bind(t, expr.Col("l.k"), ls)},
-		RightKeys: []expr.Expr{bind(t, expr.Col("r.k"), rs)},
-	}
-	got := drain(t, j)
+	got := runJoin(t, JoinInner,
+		rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{3, 30}),
+		rowsOf([]int64{2, 200}, []int64{3, 300}, []int64{3, 301}, []int64{5, 500}),
+		bind(t, expr.Col("l.k"), ls), bind(t, expr.Col("r.k"), rs), 2)
 	if len(got) != 3 {
 		t.Fatalf("inner join rows = %d: %v", len(got), got)
 	}
@@ -137,14 +133,8 @@ func TestHashJoinInner(t *testing.T) {
 func TestHashJoinLeftOuter(t *testing.T) {
 	ls := intSchema("l.k")
 	rs := intSchema("r.k", "r.v")
-	j := &HashJoin{
-		Kind:      JoinLeftOuter,
-		Left:      NewSlice(ls, rowsOf([]int64{1}, []int64{2})),
-		Right:     NewSlice(rs, rowsOf([]int64{2, 20})),
-		LeftKeys:  []expr.Expr{bind(t, expr.Col("l.k"), ls)},
-		RightKeys: []expr.Expr{bind(t, expr.Col("r.k"), rs)},
-	}
-	got := drain(t, j)
+	got := runJoin(t, JoinLeftOuter, rowsOf([]int64{1}, []int64{2}), rowsOf([]int64{2, 20}),
+		bind(t, expr.Col("l.k"), ls), bind(t, expr.Col("r.k"), rs), 2)
 	if len(got) != 2 {
 		t.Fatalf("left join rows = %d", len(got))
 	}
@@ -159,20 +149,29 @@ func TestHashJoinLeftOuter(t *testing.T) {
 func TestHashJoinSemiAnti(t *testing.T) {
 	ls := intSchema("l.k")
 	rs := intSchema("r.k")
+	left := rowsOf([]int64{1}, []int64{2}, []int64{3})
 	mk := func(kind JoinKind, nullAware bool, rightRows []value.Row) []value.Row {
 		j := &HashJoin{
 			Kind:          kind,
-			Left:          NewSlice(ls, rowsOf([]int64{1}, []int64{2}, []int64{3})),
-			Right:         NewSlice(rs, rightRows),
+			Left:          JoinSide{Rows: left},
+			Right:         JoinSide{Rows: rightRows},
 			LeftKeys:      []expr.Expr{bind(t, expr.Col("l.k"), ls)},
 			RightKeys:     []expr.Expr{bind(t, expr.Col("r.k"), rs)},
+			RightWidth:    1,
 			NullAwareAnti: nullAware,
 		}
-		return drain(t, j)
+		got, err := j.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
 	}
 	semi := mk(JoinSemi, false, rowsOf([]int64{2}, []int64{2}, []int64{3}))
 	if len(semi) != 2 {
 		t.Fatalf("semi = %v", semi)
+	}
+	if &semi[0][0] != &left[1][0] {
+		t.Fatal("semi join must emit row-backed probe rows without copying them")
 	}
 	anti := mk(JoinAnti, false, rowsOf([]int64{2}))
 	if len(anti) != 2 {
@@ -197,14 +196,18 @@ func TestHashJoinResidual(t *testing.T) {
 	rs := intSchema("r.k", "r.v")
 	concat := ls.Concat(rs)
 	j := &HashJoin{
-		Kind:      JoinInner,
-		Left:      NewSlice(ls, rowsOf([]int64{1, 5}, []int64{1, 50})),
-		Right:     NewSlice(rs, rowsOf([]int64{1, 10})),
-		LeftKeys:  []expr.Expr{bind(t, expr.Col("l.k"), ls)},
-		RightKeys: []expr.Expr{bind(t, expr.Col("r.k"), rs)},
-		Residual:  bind(t, expr.Bin(expr.OpLt, expr.Col("l.v"), expr.Col("r.v")), concat),
+		Kind:       JoinInner,
+		Left:       JoinSide{Rows: rowsOf([]int64{1, 5}, []int64{1, 50})},
+		Right:      JoinSide{Rows: rowsOf([]int64{1, 10})},
+		LeftKeys:   []expr.Expr{bind(t, expr.Col("l.k"), ls)},
+		RightKeys:  []expr.Expr{bind(t, expr.Col("r.k"), rs)},
+		Residual:   bind(t, expr.Bin(expr.OpLt, expr.Col("l.v"), expr.Col("r.v")), concat),
+		RightWidth: 2,
 	}
-	got := drain(t, j)
+	got, err := j.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 1 || got[0][1].Int() != 5 {
 		t.Fatalf("residual join = %v", got)
 	}
@@ -342,7 +345,7 @@ func TestAggregateStddev(t *testing.T) {
 
 func TestErrorIterPropagates(t *testing.T) {
 	e := errors.New("boom")
-	f := &Filter{In: Error(e), Pred: nil}
+	f := FilterIter(Error(e), nil)
 	_, _, err := f.Next()
 	if !errors.Is(err, e) {
 		t.Fatalf("err = %v", err)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 
 	"hana/internal/expr"
@@ -20,223 +21,396 @@ const (
 	JoinAnti // emit left row if 0 matches
 )
 
+// JoinSide is one hash-join input: either materialized rows or columnar
+// batches straight from a vectorized scan. A batch-backed side keeps late
+// materialization through the join — keys are read from the vectors and
+// only rows that actually reach the output are boxed.
+type JoinSide struct {
+	Rows    []value.Row
+	Batches []*value.Batch // when non-nil, Rows is ignored
+}
+
+// SideOf drains an iterator into a join input: batch producers keep their
+// columnar batches, anything else is materialized as rows.
+func SideOf(in Iter) (JoinSide, error) {
+	if b, ok := in.(BatchIter); ok {
+		bs, err := collectBatches(b)
+		return JoinSide{Batches: bs}, err
+	}
+	rows, err := drainRows(in)
+	return JoinSide{Rows: rows}, err
+}
+
+// length returns the side's live row count.
+func (s JoinSide) length() int {
+	if s.Batches != nil {
+		n := 0
+		for _, b := range s.Batches {
+			n += b.Len()
+		}
+		return n
+	}
+	return len(s.Rows)
+}
+
+// fillRow boxes global live row i into dst, which must have the side's
+// column width. offs is the side's batchOffsets (ignored for rows).
+func (s JoinSide) fillRow(i int, dst value.Row, offs []int) {
+	if s.Batches != nil {
+		b, phys := batchRowAt(s.Batches, offs, i)
+		b.FillRow(phys, dst)
+		return
+	}
+	copy(dst, s.Rows[i])
+}
+
 // HashJoin joins Left (probe) against Right (build) on equality of the
-// bound key expressions. Residual is an optional extra predicate evaluated
-// on the concatenated row (bound to the concatenated schema).
+// bound key expressions, with morsel-parallel build and probe phases. The
+// build side is hashed into per-morsel partial tables holding row indices;
+// probe morsels scan the partials in morsel order, so a probe row's matches
+// come out in build-input order and probe outputs concatenate in
+// probe-input order — the result is byte-identical at any width. Row- and
+// batch-backed sides produce the same output: global row ordinals, key
+// values, hashes and emission order are the same either way. A nil Pool
+// runs every morsel inline on the calling goroutine.
 type HashJoin struct {
 	Kind      JoinKind
-	Left      Iter
-	Right     Iter
-	LeftKeys  []expr.Expr // bound to Left schema
-	RightKeys []expr.Expr // bound to Right schema
-	Residual  expr.Expr   // bound to Concat(Left, Right) schema
-
-	// NullAwareAnti makes the anti join NULL-aware: if the build side
-	// contains a NULL key, no rows are emitted (SQL NOT IN semantics).
+	Left      JoinSide
+	Right     JoinSide
+	LeftKeys  []expr.Expr // bound to the left schema
+	RightKeys []expr.Expr // bound to the right schema
+	// Residual is an optional extra predicate on the combined row (bound to
+	// the concatenated schema). For inner joins it filters matches; for the
+	// other kinds it decides whether a build row counts as a match.
+	Residual expr.Expr
+	// RightWidth is the build side's column count.
+	RightWidth int
+	// NullAwareAnti gives an anti join SQL NOT IN semantics: when the
+	// build side is non-empty, a NULL build key empties the result and a
+	// NULL probe key drops its row. An empty build side keeps every row.
 	NullAwareAnti bool
 
-	out       *value.Schema
-	built     bool
-	table     map[uint64][]value.Row
-	buildNull bool
-	rightW    int
-	buf       value.Row
-
-	// state for multi-match probes
-	pending []value.Row
-	pi      int
-	cur     value.Row
-
-	// mbuf is the scratch slice matches() fills; pending aliases it, but a
-	// probe row's matches are fully drained before the next matches() call,
-	// so reuse never clobbers live rows.
-	mbuf []value.Row
+	Pool  *Pool
+	Width int
+	// MorselSize overrides DefaultMorselSize (tests); 0 = default.
+	MorselSize int
+	Stats      *Counters
 }
 
-// Schema implements Iter. Semi/anti joins produce the left schema; inner
-// and left-outer joins the concatenation.
-func (j *HashJoin) Schema() *value.Schema {
-	if j.out == nil {
-		switch j.Kind {
-		case JoinSemi, JoinAnti:
-			j.out = j.Left.Schema()
-		default:
-			j.out = j.Left.Schema().Concat(j.Right.Schema())
-		}
+// Run executes the join. Inner and left-outer joins return combined rows
+// (left columns, then right); semi and anti joins return probe rows
+// themselves — row-backed probe rows are not copied, batch-backed ones are
+// boxed only when they are emitted.
+func (j *HashJoin) Run(ctx context.Context) ([]value.Row, error) {
+	kind, left, right := j.Kind, j.Left, j.Right
+	leftKeys, rightKeys := j.LeftKeys, j.RightKeys
+	residual, rightWidth := j.Residual, j.RightWidth
+	stats := j.Stats
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	return j.out
-}
+	pool := j.Pool
+	if pool == nil {
+		pool = NewPool(1)
+	}
+	size := j.MorselSize
+	if size <= 0 {
+		size = DefaultMorselSize
+	}
 
-func (j *HashJoin) build() error {
-	j.table = map[uint64][]value.Row{}
-	j.rightW = j.Right.Schema().Len()
-	for {
-		row, ok, err := j.Right.Next()
+	var lOffs, rOffs []int
+	if left.Batches != nil {
+		lOffs = batchOffsets(left.Batches)
+	}
+	if right.Batches != nil {
+		rOffs = batchOffsets(right.Batches)
+	}
+	lkp, rkp := planKeys(leftKeys), planKeys(rightKeys)
+	nLeft, nRight := left.length(), right.length()
+
+	// Build phase: per-morsel hash tables of row indices plus the evaluated
+	// key values (evaluated once, reused by every probe comparison).
+	type buildPartial struct {
+		table   map[uint64][]int
+		hasNull bool // some build row has a NULL key
+	}
+	rightVals := make([][]value.Value, nRight)
+	nb := (nRight + size - 1) / size
+	buildParts := make([]*buildPartial, nb)
+	if nb > 0 {
+		workers, err := pool.Run(ctx, nb, j.Width, func(_ context.Context, m int) error {
+			lo := m * size
+			hi := lo + size
+			if hi > nRight {
+				hi = nRight
+			}
+			bp := &buildPartial{table: map[uint64][]int{}}
+			// One slab per morsel: the retained per-row key slices are carved
+			// from it instead of allocating len(rightKeys) values per row.
+			slab := make([]value.Value, (hi-lo)*len(rightKeys))
+			if right.Batches != nil {
+				var scratch value.Row
+				i := lo
+				for _, seg := range batchSegments(right.Batches, rOffs, lo, hi) {
+					b := seg.b
+					if rkp.needRow && len(scratch) < len(b.Cols) {
+						//lint:ignore hotalloc guarded by the length check: every batch shares the schema, so this allocates once per morsel, not per segment
+						scratch = make(value.Row, len(b.Cols))
+					}
+					for k := seg.lo; k < seg.hi; k++ {
+						phys := b.RowIndex(k)
+						if rkp.needRow {
+							fillScratch(b, phys, scratch, rkp.fill)
+						}
+						vals := slab[:len(rightKeys):len(rightKeys)]
+						slab = slab[len(rightKeys):]
+						var h uint64 = 1469598103934665603
+						hasNull := false
+						for ki, ke := range rightKeys {
+							var v value.Value
+							if ord := rkp.cols[ki]; ord >= 0 && ord < len(b.Cols) {
+								v = b.Cols[ord].Value(phys)
+							} else {
+								var err error
+								if v, err = ke.Eval(scratch); err != nil {
+									return err
+								}
+							}
+							if v.IsNull() {
+								hasNull = true
+								break
+							}
+							vals[ki] = v
+							h = h*1099511628211 ^ v.Hash()
+						}
+						if hasNull { // NULL keys never match
+							bp.hasNull = true
+						} else {
+							rightVals[i] = vals
+							bp.table[h] = append(bp.table[h], i)
+						}
+						i++
+					}
+				}
+			} else {
+				for i := lo; i < hi; i++ {
+					vals := slab[:len(rightKeys):len(rightKeys)]
+					slab = slab[len(rightKeys):]
+					var h uint64 = 1469598103934665603
+					hasNull := false
+					for k, ke := range rightKeys {
+						v, err := ke.Eval(right.Rows[i])
+						if err != nil {
+							return err
+						}
+						if v.IsNull() {
+							hasNull = true
+							break
+						}
+						vals[k] = v
+						h = h*1099511628211 ^ v.Hash()
+					}
+					if hasNull {
+						bp.hasNull = true
+						continue // NULL keys never match
+					}
+					rightVals[i] = vals
+					bp.table[h] = append(bp.table[h], i)
+				}
+			}
+			buildParts[m] = bp
+			return nil
+		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if !ok {
-			break
+		stats.NoteDispatch(nb, workers)
+	}
+	nullAware := kind == JoinAnti && j.NullAwareAnti && nRight > 0
+	if nullAware {
+		for _, bp := range buildParts {
+			if bp.hasNull {
+				return nil, nil // x NOT IN (…, NULL, …) is never true
+			}
 		}
-		h, hasNull, err := hashKeys(j.RightKeys, row)
+	}
+
+	// Probe phase: each morsel emits its rows independently; outputs
+	// concatenate in morsel order. probeMatches runs the shared match-emit
+	// sequence once the probe row's hash and key values are known. fillLeft
+	// copies the probe row into a combined row and boxLeft returns it as an
+	// output row of its own; both run only when the probe row contributes
+	// to the output (or to a residual check).
+	emitsCombined := kind == JoinInner || kind == JoinLeftOuter
+	np := (nLeft + size - 1) / size
+	outs := make([][]value.Row, np)
+	if np > 0 {
+		workers, err := pool.Run(ctx, np, j.Width, func(_ context.Context, m int) error {
+			lo := m * size
+			hi := lo + size
+			if hi > nLeft {
+				hi = nLeft
+			}
+			// Probe rows emit at least no rows and usually about one; hi-lo
+			// is the right capacity order. vals is scratch, reused per row —
+			// matches copy from the row slices, never from vals. check is
+			// the combined-row scratch a semi/anti residual is evaluated on.
+			out := make([]value.Row, 0, hi-lo)
+			vals := make([]value.Value, len(leftKeys))
+			var check value.Row
+			probeMatches := func(h uint64, hasNull bool, lw int, fillLeft func(dst value.Row), boxLeft func() value.Row) error {
+				matched := false
+				if !hasNull {
+				scan:
+					for _, bp := range buildParts {
+						for _, ri := range bp.table[h] {
+							rv := rightVals[ri]
+							eq := true
+							for k := range vals {
+								if value.Compare(vals[k], rv[k]) != 0 {
+									eq = false
+									break
+								}
+							}
+							if !eq {
+								continue
+							}
+							var combined value.Row
+							switch {
+							case emitsCombined:
+								combined = make(value.Row, lw+rightWidth)
+							case residual != nil:
+								if len(check) < lw+rightWidth {
+									//lint:ignore hotalloc guarded by the length check: every probe row has the same width, so this allocates once per morsel
+									check = make(value.Row, lw+rightWidth)
+								}
+								combined = check[:lw+rightWidth]
+							}
+							if combined != nil {
+								fillLeft(combined[:lw])
+								right.fillRow(ri, combined[lw:], rOffs)
+							}
+							if residual != nil {
+								keep, err := expr.Truthy(residual, combined)
+								if err != nil {
+									return err
+								}
+								if !keep {
+									continue
+								}
+							}
+							matched = true
+							if !emitsCombined {
+								break scan // one match decides a semi/anti row
+							}
+							out = append(out, combined)
+						}
+					}
+				}
+				switch {
+				case kind == JoinLeftOuter && !matched:
+					combined := make(value.Row, lw+rightWidth)
+					fillLeft(combined[:lw])
+					for i := 0; i < rightWidth; i++ {
+						combined[lw+i] = value.Null
+					}
+					out = append(out, combined)
+				case kind == JoinSemi && matched,
+					kind == JoinAnti && !matched && !(nullAware && hasNull):
+					out = append(out, boxLeft())
+				}
+				return nil
+			}
+			if left.Batches != nil {
+				var scratch value.Row
+				var fb *value.Batch // fillLeft captures fb/fphys, not loop vars
+				var fphys int
+				fillLeft := func(dst value.Row) { fb.FillRow(fphys, dst) }
+				boxLeft := func() value.Row {
+					row := make(value.Row, len(fb.Cols))
+					fb.FillRow(fphys, row)
+					return row
+				}
+				for _, seg := range batchSegments(left.Batches, lOffs, lo, hi) {
+					b := seg.b
+					if lkp.needRow && len(scratch) < len(b.Cols) {
+						//lint:ignore hotalloc guarded by the length check: every batch shares the schema, so this allocates once per morsel, not per segment
+						scratch = make(value.Row, len(b.Cols))
+					}
+					for k := seg.lo; k < seg.hi; k++ {
+						phys := b.RowIndex(k)
+						if lkp.needRow {
+							fillScratch(b, phys, scratch, lkp.fill)
+						}
+						var h uint64 = 1469598103934665603
+						hasNull := false
+						for ki, ke := range leftKeys {
+							var v value.Value
+							if ord := lkp.cols[ki]; ord >= 0 && ord < len(b.Cols) {
+								v = b.Cols[ord].Value(phys)
+							} else {
+								var err error
+								if v, err = ke.Eval(scratch); err != nil {
+									return err
+								}
+							}
+							if v.IsNull() {
+								hasNull = true
+								break
+							}
+							vals[ki] = v
+							h = h*1099511628211 ^ v.Hash()
+						}
+						fb, fphys = b, phys
+						if err := probeMatches(h, hasNull, len(b.Cols), fillLeft, boxLeft); err != nil {
+							return err
+						}
+					}
+				}
+			} else {
+				var lrow value.Row // fillLeft captures lrow, not the loop var
+				fillLeft := func(dst value.Row) { copy(dst, lrow) }
+				boxLeft := func() value.Row { return lrow }
+				for li := lo; li < hi; li++ {
+					l := left.Rows[li]
+					var h uint64 = 1469598103934665603
+					hasNull := false
+					for k, ke := range leftKeys {
+						v, err := ke.Eval(l)
+						if err != nil {
+							return err
+						}
+						if v.IsNull() {
+							hasNull = true
+							break
+						}
+						vals[k] = v
+						h = h*1099511628211 ^ v.Hash()
+					}
+					lrow = l
+					if err := probeMatches(h, hasNull, len(l), fillLeft, boxLeft); err != nil {
+						return err
+					}
+				}
+			}
+			outs[m] = out
+			return nil
+		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if hasNull {
-			j.buildNull = true
-			continue // NULL keys never match
-		}
-		j.table[h] = append(j.table[h], row.Clone())
+		stats.NoteDispatch(np, workers)
 	}
-	j.built = true
-	return nil
-}
 
-func hashKeys(keys []expr.Expr, row value.Row) (uint64, bool, error) {
-	var h uint64 = 1469598103934665603
-	for _, k := range keys {
-		v, err := k.Eval(row)
-		if err != nil {
-			return 0, false, err
-		}
-		if v.IsNull() {
-			return 0, true, nil
-		}
-		h = h*1099511628211 ^ v.Hash()
+	n := 0
+	for _, o := range outs {
+		n += len(o)
 	}
-	return h, false, nil
-}
-
-func (j *HashJoin) matches(left value.Row) ([]value.Row, error) {
-	h, hasNull, err := hashKeys(j.LeftKeys, left)
-	if err != nil {
-		return nil, err
+	joined := make([]value.Row, 0, n)
+	for _, o := range outs {
+		joined = append(joined, o...)
 	}
-	if hasNull {
-		return nil, nil
-	}
-	out := j.mbuf[:0]
-	for _, right := range j.table[h] {
-		eq := true
-		for i := range j.LeftKeys {
-			lv, err := j.LeftKeys[i].Eval(left)
-			if err != nil {
-				return nil, err
-			}
-			rv, err := j.RightKeys[i].Eval(right)
-			if err != nil {
-				return nil, err
-			}
-			if lv.IsNull() || rv.IsNull() || value.Compare(lv, rv) != 0 {
-				eq = false
-				break
-			}
-		}
-		if eq {
-			out = append(out, right)
-		}
-	}
-	j.mbuf = out
-	return out, nil
-}
-
-// Next implements Iter.
-func (j *HashJoin) Next() (value.Row, bool, error) {
-	if !j.built {
-		if err := j.build(); err != nil {
-			return nil, false, err
-		}
-		if j.buf == nil {
-			j.buf = make(value.Row, j.Left.Schema().Len()+j.rightW)
-		}
-	}
-	for {
-		// Emit pending matches for the current probe row.
-		for j.pi < len(j.pending) {
-			right := j.pending[j.pi]
-			j.pi++
-			combined := j.combine(j.cur, right)
-			if j.Residual != nil {
-				keep, err := expr.Truthy(j.Residual, combined)
-				if err != nil {
-					return nil, false, err
-				}
-				if !keep {
-					continue
-				}
-			}
-			return combined, true, nil
-		}
-		left, ok, err := j.Left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		m, err := j.matches(left)
-		if err != nil {
-			return nil, false, err
-		}
-		// Apply residual for semi/anti/outer match determination.
-		if j.Residual != nil && (j.Kind == JoinSemi || j.Kind == JoinAnti || j.Kind == JoinLeftOuter) {
-			// Filter in place: kept only ever trails the read cursor over m.
-			kept := m[:0]
-			for _, right := range m {
-				keep, err := expr.Truthy(j.Residual, j.combine(left, right))
-				if err != nil {
-					return nil, false, err
-				}
-				if keep {
-					kept = append(kept, right)
-				}
-			}
-			m = kept
-		}
-		switch j.Kind {
-		case JoinSemi:
-			if len(m) > 0 {
-				return left, true, nil
-			}
-		case JoinAnti:
-			if j.NullAwareAnti && j.buildNull {
-				continue // any NULL on build side ⇒ NOT IN yields unknown
-			}
-			if len(m) == 0 {
-				// NULL probe key under NULL-aware anti join is unknown too.
-				_, hasNull, err := hashKeys(j.LeftKeys, left)
-				if err != nil {
-					return nil, false, err
-				}
-				if j.NullAwareAnti && hasNull {
-					continue
-				}
-				return left, true, nil
-			}
-		case JoinLeftOuter:
-			if len(m) == 0 {
-				return j.combineNullRight(left), true, nil
-			}
-			j.cur = left.Clone()
-			j.pending, j.pi = m, 0
-		case JoinInner:
-			if len(m) > 0 {
-				j.cur = left.Clone()
-				j.pending, j.pi = m, 0
-			}
-		}
-	}
-}
-
-func (j *HashJoin) combine(left, right value.Row) value.Row {
-	copy(j.buf, left)
-	copy(j.buf[len(left):], right)
-	return j.buf[:len(left)+len(right)]
-}
-
-func (j *HashJoin) combineNullRight(left value.Row) value.Row {
-	copy(j.buf, left)
-	for i := 0; i < j.rightW; i++ {
-		j.buf[len(left)+i] = value.Null
-	}
-	return j.buf[:len(left)+j.rightW]
+	return joined, nil
 }
 
 // NestedLoopJoin joins without equality keys (general predicates, cross

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -10,10 +11,13 @@ import (
 	"hana/internal/value"
 )
 
-// TestHashJoinEquivalentToNestedLoop checks on random inputs that the hash
-// join and the nested-loop join (with the equality as a general predicate)
-// produce the same multiset of rows, for inner, left-outer, semi and anti
-// kinds.
+// TestHashJoinEquivalentToNestedLoop checks on random inputs with NULL keys
+// that the hash join and the nested-loop join (with the equality as a
+// general predicate) produce the same multiset of rows, for inner,
+// left-outer, semi, anti and NULL-aware anti joins. The hash join runs over
+// row-backed and batch-backed sides with small morsels, so multi-morsel
+// builds and probes are exercised. The NOT IN reference is a nested-loop
+// anti join whose predicate matches whenever the equality is not FALSE.
 func TestHashJoinEquivalentToNestedLoop(t *testing.T) {
 	ls := intSchema("l.k", "l.v")
 	rs := intSchema("r.k", "r.v")
@@ -23,9 +27,20 @@ func TestHashJoinEquivalentToNestedLoop(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		out := make([]value.Row, len(keys))
 		for i, k := range keys {
-			out[i] = value.Row{value.NewInt(int64(k % 8)), value.NewInt(rng.Int63n(100))}
+			kv := value.NewInt(int64(k % 8))
+			if k%13 == 0 {
+				kv = value.Null
+			}
+			out[i] = value.Row{kv, value.NewInt(rng.Int63n(100))}
 		}
 		return out
+	}
+	batchesOf := func(s *value.Schema, rows []value.Row) []*value.Batch {
+		var bs []*value.Batch
+		for lo := 0; lo < len(rows); lo += 7 {
+			bs = append(bs, value.BatchFromRows(s, rows[lo:min(lo+7, len(rows))]))
+		}
+		return bs
 	}
 	canon := func(rows []value.Row) []string {
 		out := make([]string, len(rows))
@@ -47,8 +62,17 @@ func TestHashJoinEquivalentToNestedLoop(t *testing.T) {
 		return true
 	}
 
-	for _, kind := range []JoinKind{JoinInner, JoinLeftOuter, JoinSemi, JoinAnti} {
-		kind := kind
+	type variant struct {
+		name      string
+		kind      JoinKind
+		nullAware bool
+	}
+	variants := []variant{
+		{"INNER", JoinInner, false}, {"LEFT OUTER", JoinLeftOuter, false},
+		{"SEMI", JoinSemi, false}, {"ANTI", JoinAnti, false},
+		{"NOT IN", JoinAnti, true},
+	}
+	for _, vt := range variants {
 		f := func(lk, rk []uint8) bool {
 			if len(lk) > 40 {
 				lk = lk[:40]
@@ -59,24 +83,16 @@ func TestHashJoinEquivalentToNestedLoop(t *testing.T) {
 			left := mkRows(lk, 1)
 			right := mkRows(rk, 2)
 
-			hj := &HashJoin{
-				Kind:      kind,
-				Left:      NewSlice(ls, left),
-				Right:     NewSlice(rs, right),
-				LeftKeys:  []expr.Expr{bound(t, "l.k", ls)},
-				RightKeys: []expr.Expr{bound(t, "r.k", rs)},
+			var on expr.Expr = expr.Eq(expr.Col("l.k"), expr.Col("r.k"))
+			if vt.nullAware {
+				on = expr.Bin(expr.OpOr, on, expr.Bin(expr.OpOr,
+					&expr.IsNull{E: expr.Col("l.k")}, &expr.IsNull{E: expr.Col("r.k")}))
 			}
-			hr, err := Materialize(hj)
-			if err != nil {
-				return false
-			}
-
-			on := expr.Eq(expr.Col("l.k"), expr.Col("r.k"))
 			if err := expr.Bind(on, concat); err != nil {
 				return false
 			}
 			nl := &NestedLoopJoin{
-				Kind:  kind,
+				Kind:  vt.kind,
 				Left:  NewSlice(ls, left),
 				Right: NewSlice(rs, right),
 				On:    on,
@@ -85,10 +101,32 @@ func TestHashJoinEquivalentToNestedLoop(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			return equal(canon(hr.Data), canon(nr.Data))
+			want := canon(nr.Data)
+
+			sides := [][2]JoinSide{
+				{{Rows: left}, {Rows: right}},
+				{{Batches: batchesOf(ls, left)}, {Batches: batchesOf(rs, right)}},
+			}
+			for _, sd := range sides {
+				hj := &HashJoin{
+					Kind:          vt.kind,
+					Left:          sd[0],
+					Right:         sd[1],
+					LeftKeys:      []expr.Expr{bound(t, "l.k", ls)},
+					RightKeys:     []expr.Expr{bound(t, "r.k", rs)},
+					RightWidth:    rs.Len(),
+					NullAwareAnti: vt.nullAware,
+					MorselSize:    5,
+				}
+				hr, err := hj.Run(context.Background())
+				if err != nil || !equal(canon(hr), want) {
+					return false
+				}
+			}
+			return true
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-			t.Errorf("%v: %v", kind, err)
+			t.Errorf("%s: %v", vt.name, err)
 		}
 	}
 }
@@ -103,7 +141,8 @@ func bound(t *testing.T, name string, s *value.Schema) expr.Expr {
 }
 
 // TestAggregateMatchesReference cross-checks HashAggregate against a naive
-// reference implementation on random groups.
+// reference implementation on random groups; small morsels make the
+// partial-table merge part of every check.
 func TestAggregateMatchesReference(t *testing.T) {
 	s := intSchema("g", "v")
 	f := func(pairs []uint16) bool {
@@ -127,7 +166,8 @@ func TestAggregateMatchesReference(t *testing.T) {
 				{Func: "SUM", Arg: bound(t, "v", s)},
 				{Func: "COUNT"},
 			},
-			Out: intSchema("g", "s", "c"),
+			Out:        intSchema("g", "s", "c"),
+			MorselSize: 16,
 		}
 		got, err := Materialize(agg)
 		if err != nil {

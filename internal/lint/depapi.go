@@ -6,20 +6,20 @@ import (
 	"sync"
 )
 
-// DepAPI keeps module-internal code off Deprecated entry points. Every
-// Deprecated function in this module names its replacement in the doc
-// comment; the wrappers exist for API stability, not as a license for new
-// internal call sites — an internal caller on the legacy path silently
-// loses whatever the replacement added (context threading, vectorized
-// operators, typed view schemas). Per production (non-test) file:
+// DepAPI keeps module-internal code off Deprecated entry points. A
+// Deprecated function names its replacement in the doc comment; such a
+// wrapper exists for API stability, not as a license for new internal call
+// sites — an internal caller on the legacy path silently loses whatever the
+// replacement added (context threading, vectorized operators, typed view
+// schemas). Per production (non-test) file:
 //
 //  1. a call that resolves to a summarized function or method whose doc
 //     comment carries a "Deprecated:" marker is reported, with the
 //     replacement text from the marker;
 //
 //  2. a composite literal of a type whose doc comment carries a
-//     "Deprecated:" marker (e.g. the row-at-a-time exec.Filter, kept as a
-//     thin wrapper around FilterIter) is reported the same way.
+//     "Deprecated:" marker (e.g. a row-at-a-time operator kept as a thin
+//     wrapper around its batch replacement) is reported the same way.
 //
 // The declaring package is exempt — it hosts the wrappers and their
 // pinning tests — and so are Deprecated functions themselves, whose whole

@@ -87,7 +87,7 @@ func TestHotSetContainsExecutorCore(t *testing.T) {
 	hot := prog.HotFuncs()
 	for _, key := range []string{
 		"hana/internal/exec.HashAggregate.run",
-		"hana/internal/exec.HashJoin.matches",
+		"hana/internal/exec.HashJoin.Run",
 		"hana/internal/engine.partition.visibleRows",
 		"hana/internal/colstore.Column.MinMax",
 		"hana/internal/expr.In.Eval",

@@ -15,30 +15,23 @@ package lint
 // doc comment.
 var HotRoots = []string{
 	// exec: operator loops driven once per row or per morsel.
-	"hana/internal/exec.Filter.Next",
-	"hana/internal/exec.Project.Next",
+	"hana/internal/exec.filter.Next",
+	"hana/internal/exec.project.Next",
 	"hana/internal/exec.Limit.Next",
 	"hana/internal/exec.Sort.Next",
 	"hana/internal/exec.Distinct.Next",
-	"hana/internal/exec.UnionAll.Next",
 	"hana/internal/exec.Slice.Next",
 	"hana/internal/exec.Materialize",
 	"hana/internal/exec.HashAggregate.run",
-	"hana/internal/exec.ParallelHashAggregate.run",
 	"hana/internal/exec.aggregateMorsel",
 	"hana/internal/exec.drainRows",
-	"hana/internal/exec.HashJoin.build",
-	"hana/internal/exec.HashJoin.matches",
-	"hana/internal/exec.HashJoin.Next",
-	"hana/internal/exec.HashJoinParallel",
+	"hana/internal/exec.HashJoin.Run",
 	"hana/internal/exec.NestedLoopJoin.Next",
-	"hana/internal/exec.hashKeys",
 	"hana/internal/exec.Pool.Run",
 	// exec: batch operators — NextBatch runs once per morsel, but the loops
 	// inside touch every row, and batchRows.next is the row-compat shim that
 	// runs per row when a row consumer drains a batch producer.
 	"hana/internal/exec.BatchSlice.NextBatch",
-	"hana/internal/exec.Batches.NextBatch",
 	"hana/internal/exec.BatchFilter.NextBatch",
 	"hana/internal/exec.BatchProject.NextBatch",
 	"hana/internal/exec.batchRows.next",

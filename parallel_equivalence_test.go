@@ -11,41 +11,14 @@ import (
 	"hana/internal/value"
 )
 
-// The morsel executor promises byte-identical results at any parallelism:
-// morsel boundaries depend only on input size and partials merge in morsel
-// order, so worker count must never show up in the output. Property-check
-// that across the TPC-H query set: every query at parallelism 1 must equal
-// the same query at parallelism N, row for row, in order.
+// The executor promises byte-identical results at any parallelism: morsel
+// boundaries depend only on input size and partials merge in morsel order,
+// so worker count must never show up in the output. Property-check that
+// across the TPC-H query set: every query at parallelism 1 must equal the
+// same query at parallelism 4, row for row, in order.
 func TestParallelExecutionMatchesSerial(t *testing.T) {
-	data := tpch.Generate(0.005, 2015)
-	schemas := tpch.Schemas()
-
-	newLoaded := func(parallelism int) *engine.Engine {
-		e := engine.New(engine.Config{
-			ExtendedStorageDir: t.TempDir(),
-			Parallelism:        parallelism,
-		})
-		for name, rows := range data.Tables {
-			ddl := fmt.Sprintf("CREATE TABLE %s (", name)
-			for i, c := range schemas[name].Cols {
-				if i > 0 {
-					ddl += ", "
-				}
-				ddl += c.Name + " " + c.Kind.String()
-			}
-			ddl += ")"
-			if _, err := e.ExecuteContext(context.Background(), ddl); err != nil {
-				t.Fatalf("create %s: %v", name, err)
-			}
-			if err := e.BulkLoad(name, rows); err != nil {
-				t.Fatalf("load %s: %v", name, err)
-			}
-		}
-		return e
-	}
-
-	serial := newLoaded(1)
-	parallel := newLoaded(4)
+	serial := loadTPCH(t, engine.Config{Parallelism: 1})
+	parallel := loadTPCH(t, engine.Config{Parallelism: 4})
 	ctx := context.Background()
 
 	for _, id := range tpch.QueryIDs() {
@@ -59,67 +32,31 @@ func TestParallelExecutionMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parallel: %v", err)
 			}
-			if !reflect.DeepEqual(got.Schema, want.Schema) {
-				t.Fatalf("schema diverged: %v vs %v", got.Schema, want.Schema)
-			}
-			if len(got.Rows) != len(want.Rows) {
-				t.Fatalf("row count diverged: parallel %d vs serial %d", len(got.Rows), len(want.Rows))
-			}
-			for i := range want.Rows {
-				if !rowsEqual(got.Rows[i], want.Rows[i]) {
-					t.Fatalf("row %d diverged:\nparallel: %v\nserial:   %v", i, got.Rows[i], want.Rows[i])
-				}
-			}
+			compareResults(t, "width 4 vs width 1", q.SQL, got, want)
 		})
 	}
 }
 
-// The vectorized executor promises the same thing against the classic row
-// path: batches are cut on the same morsel boundaries the row scan uses and
-// late materialization must be invisible in the output. Property-check every
-// TPC-H query three ways — serial rows (the pre-vectorization executor,
-// pinned via WithRowExec) against batch execution at parallelism 1 and 4 —
-// row for row, in order.
+// The vectorized executor promises the same results as the classic
+// row-at-a-time executor: batches are cut on the same morsel boundaries the
+// row scan used and late materialization must be invisible in the output.
+// The oracle is independent of the engine under test: testdata/tpch holds
+// every TPC-H query's result as produced by the former row executor at width
+// 1, checked in once and never regenerated from this engine. Every query at
+// width 1 and width 4 must equal its golden file row for row, in order.
 func TestVectorizedExecutionMatchesRowSerial(t *testing.T) {
-	data := tpch.Generate(0.005, 2015)
-	schemas := tpch.Schemas()
-
-	newLoaded := func(parallelism int) *engine.Engine {
-		e := engine.New(engine.Config{
-			ExtendedStorageDir: t.TempDir(),
-			Parallelism:        parallelism,
-		})
-		for name, rows := range data.Tables {
-			ddl := fmt.Sprintf("CREATE TABLE %s (", name)
-			for i, c := range schemas[name].Cols {
-				if i > 0 {
-					ddl += ", "
-				}
-				ddl += c.Name + " " + c.Kind.String()
-			}
-			ddl += ")"
-			if _, err := e.ExecuteContext(context.Background(), ddl); err != nil {
-				t.Fatalf("create %s: %v", name, err)
-			}
-			if err := e.BulkLoad(name, rows); err != nil {
-				t.Fatalf("load %s: %v", name, err)
-			}
-		}
-		return e
-	}
-
-	serial := newLoaded(1)
-	parallel := newLoaded(4)
+	serial := loadTPCH(t, engine.Config{Parallelism: 1})
+	parallel := loadTPCH(t, engine.Config{Parallelism: 4})
 	ctx := context.Background()
 
 	for _, id := range tpch.QueryIDs() {
 		q := tpch.Queries()[id]
 		t.Run(fmt.Sprintf("Q%d", id), func(t *testing.T) {
-			want, err := serial.ExecuteContext(ctx, q.SQL,
-				engine.WithParallelism(1), engine.WithRowExec())
+			schema, rows, err := readGolden(goldenPath(id))
 			if err != nil {
-				t.Fatalf("serial rows: %v", err)
+				t.Fatalf("golden: %v", err)
 			}
+			want := &engine.Result{Schema: schema, Rows: rows}
 			for _, width := range []int{1, 4} {
 				e := serial
 				if width > 1 {
@@ -127,21 +64,9 @@ func TestVectorizedExecutionMatchesRowSerial(t *testing.T) {
 				}
 				got, err := e.ExecuteContext(ctx, q.SQL, engine.WithParallelism(width))
 				if err != nil {
-					t.Fatalf("vectorized width %d: %v", width, err)
+					t.Fatalf("width %d: %v", width, err)
 				}
-				if !reflect.DeepEqual(got.Schema, want.Schema) {
-					t.Fatalf("width %d: schema diverged: %v vs %v", width, got.Schema, want.Schema)
-				}
-				if len(got.Rows) != len(want.Rows) {
-					t.Fatalf("width %d: row count diverged: vectorized %d vs row-serial %d",
-						width, len(got.Rows), len(want.Rows))
-				}
-				for i := range want.Rows {
-					if !rowsEqual(got.Rows[i], want.Rows[i]) {
-						t.Fatalf("width %d: row %d diverged:\nvectorized: %v\nrow-serial: %v",
-							width, i, got.Rows[i], want.Rows[i])
-					}
-				}
+				compareResults(t, fmt.Sprintf("width %d vs golden", width), q.SQL, got, want)
 			}
 		})
 	}
